@@ -314,11 +314,10 @@ DSEQ_IDL = """
 
 @pytest.mark.benchmark(group="infra-invocation")
 @pytest.mark.parametrize("n", [65_536])
-def test_end_to_end_dseq_invocation_wallclock(benchmark, request, n):
+def test_end_to_end_dseq_invocation_wallclock(benchmark, n):
     """Wall-clock cost of 20 invocations each shipping a 512 KiB
-    distributed argument — the fragment lane end to end (encode →
-    transport → decode → insert).  Run with ``--fast-path off`` for the
-    zero-copy ablation; the lane taken is recorded in ``extra_info``.
+    distributed argument — the pooled fragment lane end to end (encode →
+    transport → decode → insert).
     """
     import numpy as np
 
@@ -353,13 +352,8 @@ def test_end_to_end_dseq_invocation_wallclock(benchmark, request, n):
 
     out = benchmark.pedantic(run, rounds=3, iterations=1)
     assert out["total"] == float(n) * (n - 1) / 2
-    lane = request.config.getoption("--fast-path")
-    benchmark.extra_info["fast_path"] = lane
     benchmark.extra_info["fast_encodes"] = out["stats"]["fast_encodes"]
     benchmark.extra_info["fallback_encodes"] = out["stats"]["fallback_encodes"]
     # Every borrowed payload buffer must have come back.
     assert (out["stats"]["borrows"] == out["stats"]["returns"])
-    if lane == "on":
-        assert out["stats"]["fast_encodes"] == 20
-    else:
-        assert out["stats"]["fast_encodes"] == 0
+    assert out["stats"]["fast_encodes"] == 20

@@ -10,25 +10,6 @@ Simulations are deterministic, so one round is meaningful.
 import pytest
 
 
-def pytest_addoption(parser):
-    parser.addoption(
-        "--fast-path", choices=("on", "off"), default="on",
-        help="zero-copy marshaling lane ablation: 'off' forces every "
-             "fragment onto the classic per-allocation CDR path "
-             "(see repro.cdr.buffers)",
-    )
-
-
-@pytest.fixture(autouse=True)
-def _fast_path_flag(request):
-    """Apply the ``--fast-path`` ablation to every benchmark."""
-    from repro.cdr import set_fast_path
-
-    prev = set_fast_path(request.config.getoption("--fast-path") == "on")
-    yield
-    set_fast_path(prev)
-
-
 def run_once(benchmark, fn, *args, **kwargs):
     """Run a simulation benchmark exactly once (deterministic)."""
     return benchmark.pedantic(fn, args=args, kwargs=kwargs,

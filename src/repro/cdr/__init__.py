@@ -9,11 +9,6 @@ from .buffers import (
     BufferPool,
     PooledBuffer,
     ZeroCopyStats,
-    fast_path,
-    fast_path_enabled,
-    get_pool,
-    set_fast_path,
-    set_pool,
 )
 from .decoder import CdrDecoder, decode, decode_bulk_payload
 from .encoder import (
@@ -86,13 +81,8 @@ __all__ = [
     "decode_bulk_payload",
     "encode",
     "encode_bulk_payload",
-    "fast_path",
-    "fast_path_enabled",
     "get_marshal_meter",
-    "get_pool",
     "is_numeric_primitive",
-    "set_fast_path",
     "set_marshal_meter",
-    "set_pool",
     "wire_size",
 ]

@@ -2,13 +2,12 @@
 
 The marshaling hot path of a distributed invocation is fragment movement:
 every request encodes each thread-to-thread fragment of every distributed
-argument, and every reply does the same for distributed results.  The
-original lane allocated fresh ``bytes`` per fragment three times over
-(``ndarray.tobytes()`` → ``bytearray.extend`` → ``getvalue()``); the fast
-lane writes the payload **once**, directly into a buffer borrowed from a
-:class:`BufferPool`, and hands the resulting :class:`PooledBuffer` lease
-through transfer and decode as a view (see ``docs/PROTOCOL.md``,
-"Zero-copy fragment lane").
+argument, and every reply does the same for distributed results.  A
+fragment of numeric elements is written **once**, directly into a buffer
+borrowed from its world's :class:`BufferPool` (each simulated world's
+transport owns one, so runs stay isolated), and the resulting
+:class:`PooledBuffer` lease travels through transfer and decode as a view
+(see ``docs/PROTOCOL.md``, "Zero-copy fragment lane").
 
 Lifetime rules (enforced by the courier/POA/request-state code):
 
@@ -33,11 +32,6 @@ __all__ = [
     "BufferPool",
     "PooledBuffer",
     "ZeroCopyStats",
-    "fast_path",
-    "fast_path_enabled",
-    "get_pool",
-    "set_fast_path",
-    "set_pool",
 ]
 
 #: Smallest bucket capacity; sub-256-byte payloads share one bucket.
@@ -52,12 +46,13 @@ _MAX_FREE_PER_BUCKET = 16
 class ZeroCopyStats:
     """Counters for the zero-copy lane and its pool.
 
-    ``fast_encodes``/``fast_decodes`` count fragments that took the bulk
-    lane; ``fallback_encodes``/``fallback_decodes`` count fragments that
-    fell back to the element-wise CDR stream (non-numeric elements, list
-    data, or the lane disabled).  ``borrows``/``returns`` track lease
-    balance — they must match once all in-flight fragments are consumed,
-    which is what the exception-path regression tests assert.
+    ``fast_encodes``/``fast_decodes`` count fragments of numeric elements,
+    which take the bulk lane; ``fallback_encodes``/``fallback_decodes``
+    count fragments of any other element type (structs, strings, ``char``,
+    nested sequences), which use the element-wise CDR stream.
+    ``borrows``/``returns`` track lease balance — they must match once all
+    in-flight fragments are consumed, which is what the exception-path
+    regression tests assert.
     """
 
     __slots__ = ("fast_encodes", "fast_decodes", "fallback_encodes",
@@ -194,55 +189,3 @@ class BufferPool:
     def __repr__(self) -> str:
         return (f"<BufferPool {self.free_buffers()} free, "
                 f"{self.stats.outstanding} outstanding>")
-
-
-# ---------------------------------------------------------------------------
-# Global default pool + lane switch
-# ---------------------------------------------------------------------------
-
-#: Process-wide default pool, used where no world-scoped pool is at hand
-#: (e.g. RTS-channel redistribution).  Each simulated world's transport
-#: owns its own pool so runs stay isolated.
-_POOL = BufferPool()
-
-#: Whether the zero-copy fragment lane is taken at all.  Off means every
-#: fragment travels as the classic one-shot CDR ``bytes`` — the ablation
-#: the ``--fast-path off`` benchmark flag measures.
-_ENABLED = True
-
-
-def get_pool() -> BufferPool:
-    return _POOL
-
-
-def set_pool(pool: BufferPool) -> BufferPool:
-    """Install a new default pool; returns the previous one."""
-    global _POOL
-    prev, _POOL = _POOL, pool
-    return prev
-
-
-def fast_path_enabled() -> bool:
-    return _ENABLED
-
-
-def set_fast_path(on: bool) -> bool:
-    """Enable/disable the zero-copy lane; returns the previous setting."""
-    global _ENABLED
-    prev, _ENABLED = _ENABLED, bool(on)
-    return prev
-
-
-class fast_path:
-    """Context manager scoping a lane setting: ``with fast_path(False): ...``"""
-
-    def __init__(self, on: bool) -> None:
-        self.on = on
-        self._prev = None
-
-    def __enter__(self) -> "fast_path":
-        self._prev = set_fast_path(self.on)
-        return self
-
-    def __exit__(self, *exc) -> None:
-        set_fast_path(self._prev)

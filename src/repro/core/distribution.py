@@ -20,17 +20,6 @@ from typing import Iterable, Sequence
 Interval = tuple[int, int]
 
 
-def _merge(intervals: list[Interval]) -> list[Interval]:
-    """Coalesce sorted intervals that touch."""
-    out: list[Interval] = []
-    for start, stop in intervals:
-        if out and out[-1][1] == start:
-            out[-1] = (out[-1][0], stop)
-        else:
-            out.append((start, stop))
-    return out
-
-
 @dataclass(frozen=True)
 class Distribution:
     """An immutable partition of ``range(n)`` over ``p`` ranks."""

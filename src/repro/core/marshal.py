@@ -117,33 +117,6 @@ def wrap_out(param: ParamDef, dseq: DistributedSequence) -> Any:
     return dseq
 
 
-def fragment_payload(element: TypeCode, values, pool=None):
-    """Encode one fragment's element run — re-exported from the fragment
-    courier (repro.core.pipeline.courier), the one owner of fragment
-    movement.  Numeric ndarray runs take the zero-copy lane and return a
-    :class:`~repro.cdr.buffers.PooledBuffer` lease; everything else
-    returns ``bytes``."""
-    from .pipeline.courier import fragment_payload as _impl
-
-    return _impl(element, values, pool)
-
-
-def fragment_values(element: TypeCode, payload, pool=None):
-    """Decode one fragment's element run (courier re-export); zero-copy
-    payloads decode to a read-only ndarray view, consumed before the
-    lease is released."""
-    from .pipeline.courier import fragment_values as _impl
-
-    return _impl(element, payload, pool)
-
-
-def release_payload(payload) -> None:
-    """Return a pooled fragment payload, if it is one (no-op on bytes)."""
-    release = getattr(payload, "release", None)
-    if release is not None:
-        release()
-
-
 # ---------------------------------------------------------------------------
 # Out-distribution requests
 # ---------------------------------------------------------------------------

@@ -20,24 +20,23 @@ and client out-args).  The courier owns all four:
 ``transfer.extract`` and ``transfer.insert`` are called from nowhere
 else in the tree.
 
-Fragment payloads travel on one of two lanes.  The classic lane CDR-
-encodes ``sequence<element>`` into a fresh ``bytes``; the zero-copy lane
-(numeric elements, ndarray data, :func:`repro.cdr.fast_path_enabled`)
-writes the identical wire bytes once into a :class:`PooledBuffer` leased
-from the world transport's :class:`~repro.cdr.buffers.BufferPool` and
-decodes by aliasing, not copying.  The lease rides the
-:class:`~repro.core.request.Fragment`; whoever consumes (or discards)
-the fragment must call :func:`release_fragment`.
+Fragment payloads travel on one of two lanes, chosen by the element
+type alone.  Numeric elements, whatever their container (ndarray or
+list), take the zero-copy lane: the wire bytes are written once into a
+:class:`PooledBuffer` leased from the world transport's
+:class:`~repro.cdr.buffers.BufferPool` and decoded by aliasing, not
+copying.  Any other element (structs, strings, ``char``, nested
+sequences) is CDR-encoded as ``sequence<element>`` into a fresh
+``bytes``.  The lease rides the :class:`~repro.core.request.Fragment`;
+whoever consumes (or discards) the fragment must call
+:func:`release_fragment`.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from ...cdr import CdrDecoder, CdrEncoder, SequenceTC, TypeCode
-from ...cdr import buffers as _buffers
 from ...cdr import encoder as _cdr_encoder
-from ...cdr.buffers import get_pool
+from ...cdr.buffers import BufferPool
 from ...cdr.decoder import decode_bulk_payload
 from ...cdr.encoder import encode_bulk_payload
 from ...cdr.typecodes import PrimitiveTC
@@ -49,41 +48,34 @@ __all__ = ["FragmentCourier", "fragment_payload", "fragment_values",
            "redistribute_exchange", "release_fragment"]
 
 
-def fragment_payload(element: TypeCode, values, pool=None):
+def fragment_payload(element: TypeCode, values, pool: BufferPool):
     """Encode one fragment's element run (``sequence<element>``).
 
-    Returns ``bytes`` on the classic lane, or a ``PooledBuffer`` lease on
-    the zero-copy lane; both carry identical wire bytes.  The caller owns
-    a returned lease.
+    Returns a ``PooledBuffer`` lease from ``pool`` for numeric elements
+    (the caller owns it), else ``bytes``.
     """
-    # Inlined fast_path_enabled()/is_numeric_primitive(): this dispatch
-    # runs once per fragment, squarely on the hot path.
-    if (_buffers._ENABLED and isinstance(values, np.ndarray)
-            and isinstance(element, PrimitiveTC) and element.name != "char"):
-        return encode_bulk_payload(element, values,
-                                   pool if pool is not None else get_pool())
+    # Inlined is_numeric_primitive(): this dispatch runs once per
+    # fragment, squarely on the hot path.
+    if isinstance(element, PrimitiveTC) and element.name != "char":
+        return encode_bulk_payload(element, values, pool)
     data = CdrEncoder().encode(SequenceTC(element), values).getvalue()
     meter = _cdr_encoder._MARSHAL_METER
     if meter is not None:
         meter.on_encode(len(data))
-    stats = (pool if pool is not None else get_pool()).stats
-    stats.fallback_encodes += 1
+    pool.stats.fallback_encodes += 1
     return data
 
 
-def fragment_values(element: TypeCode, payload, pool=None):
+def fragment_values(element: TypeCode, payload, pool: BufferPool):
     """Decode one fragment's element run.
 
-    Zero-copy lane payloads come back as a read-only ndarray aliasing the
+    Numeric payloads come back as a read-only ndarray aliasing the
     payload storage — consume it before releasing the buffer.
     """
-    stats = (pool if pool is not None else get_pool()).stats
-    if (_buffers._ENABLED and isinstance(element, PrimitiveTC)
-            and element.name != "char"):
+    stats = pool.stats
+    if isinstance(element, PrimitiveTC) and element.name != "char":
         stats.fast_decodes += 1
         return decode_bulk_payload(element, payload)
-    if not isinstance(payload, (bytes, bytearray, memoryview)):
-        payload = payload.tobytes()   # PooledBuffer sent while lane now off
     dec = CdrDecoder(payload)
     meter = _cdr_encoder._MARSHAL_METER
     if meter is not None:
@@ -191,9 +183,10 @@ def redistribute_exchange(element: TypeCode, src_dist: Distribution,
 
     sched = _transfer.cached_schedule(src_dist, dst_dist)
     tag = _next_tag(rts)
+    pool = rts.program.world.transport.buffer_pool
     for item in _transfer.outgoing(sched, rank):
         values = _transfer.extract(src_dist, rank, src_data, item.intervals)
-        payload = fragment_payload(element, values)
+        payload = fragment_payload(element, values, pool)
         rts.send_reserved(item.dst_rank, (item.intervals, payload), tag,
                           nbytes=len(payload))
     for item in _transfer.local_items(sched, rank):
@@ -203,7 +196,7 @@ def redistribute_exchange(element: TypeCode, src_dist: Distribution,
         msg = rts.recv(tag=tag)
         intervals, payload = msg.payload
         try:
-            values = fragment_values(element, payload)
+            values = fragment_values(element, payload, pool)
             _transfer.insert(dst_dist, rank, dst_data, tuple(intervals),
                              values)
         finally:

@@ -107,7 +107,9 @@ class Fragment:
     param: str
     src_rank: int
     intervals: tuple
-    payload: bytes                  # CDR-encoded element run
+    #: CDR-encoded element run: a PooledBuffer lease for numeric
+    #: elements, ``bytes`` otherwise
+    payload: bytes
 
     def nbytes(self) -> int:
         return 48 + len(self.payload) + 16 * len(self.intervals)

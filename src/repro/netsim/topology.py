@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .profiles import LOOPBACK, SGI_SHMEM, LinkProfile
+from .profiles import SGI_SHMEM, LinkProfile
 
 
 @dataclass
@@ -132,9 +132,6 @@ class Network:
             raise NoRouteError(f"no link between {a!r} and {b!r}")
         return state.profile
 
-    def uncontended_transfer_time(self, a: str, b: str, nbytes: int) -> float:
-        return self.profile_between(a, b).transfer_time(nbytes)
-
     # -- occupancy ------------------------------------------------------------
 
     def reserve(self, a: str, b: str, nbytes: int, now: float) -> tuple[float, float]:
@@ -172,7 +169,3 @@ class Network:
         for state in self._links.values():
             state.busy_until = 0.0
         self._node_busy.clear()
-
-
-def loopback_profile() -> LinkProfile:
-    return LOOPBACK

@@ -43,9 +43,6 @@ class GridLayout:
     def local_rows(self, rank: int) -> int:
         return self.row_stop(rank) - self.row_start(rank)
 
-    def owner_of_row(self, row: int) -> int:
-        return self._row_dist().owner_of(row)
-
     def neighbors(self, rank: int) -> tuple[int | None, int | None]:
         """Contexts owning the rows just above and below mine."""
         up = rank - 1 if rank > 0 else None

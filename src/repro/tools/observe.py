@@ -283,26 +283,8 @@ class RequestObserver:
     def __len__(self) -> int:
         return len(self.spans)
 
-    def by_phase(self, phase: str) -> list[Span]:
-        return [s for s in self.spans if s.phase == phase]
-
-    def by_op(self, op: str) -> list[Span]:
-        return [s for s in self.spans if s.op == op]
-
     def operations(self) -> list[str]:
         return sorted({s.op for s in self.spans})
-
-    def phase_durations(self, phase: str, op: Optional[str] = None) -> list:
-        return sorted(s.duration for s in self.spans
-                      if s.phase == phase and (op is None or s.op == op))
-
-    def phase_histogram(self, phase: str, op: Optional[str] = None,
-                        bins: int = 10):
-        """(counts, edges) histogram of a phase's virtual-time latencies."""
-        import numpy as np
-
-        durs = self.phase_durations(phase, op)
-        return np.histogram(np.asarray(durs if durs else [0.0]), bins=bins)
 
     def request_breakdown(self, req) -> dict[str, float]:
         """Total virtual seconds per phase for one request — the answer to

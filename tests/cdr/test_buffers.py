@@ -9,11 +9,6 @@ from repro.cdr import (
     TC_DOUBLE,
     decode_bulk_payload,
     encode_bulk_payload,
-    fast_path,
-    fast_path_enabled,
-    get_pool,
-    set_fast_path,
-    set_pool,
 )
 from repro.cdr.buffers import _MIN_BUCKET
 
@@ -135,34 +130,3 @@ class TestStats:
         b.release()
         pool.stats.reset()
         assert pool.stats.snapshot() == dict.fromkeys(snap, 0)
-
-
-class TestLaneSwitch:
-    def test_set_fast_path_returns_previous(self):
-        prev = set_fast_path(False)
-        try:
-            assert not fast_path_enabled()
-        finally:
-            set_fast_path(prev)
-
-    def test_fast_path_context_manager_restores(self):
-        before = fast_path_enabled()
-        with fast_path(not before):
-            assert fast_path_enabled() is (not before)
-        assert fast_path_enabled() is before
-
-    def test_fast_path_restores_on_exception(self):
-        before = fast_path_enabled()
-        with pytest.raises(RuntimeError):
-            with fast_path(not before):
-                raise RuntimeError("boom")
-        assert fast_path_enabled() is before
-
-    def test_set_pool_swaps_default(self):
-        mine = BufferPool()
-        prev = set_pool(mine)
-        try:
-            assert get_pool() is mine
-        finally:
-            set_pool(prev)
-        assert get_pool() is prev

@@ -5,7 +5,8 @@ byte-for-byte indistinguishable from the classic CDR stream for every
 numeric element type, every value pattern (including NaN payloads and
 denormals, generated here from raw bytes), and every input layout
 (non-contiguous slices, reversed strides, empty arrays).  The properties
-hold at the courier level too, where the lane switch actually lives.
+hold at the courier level too, where the element type picks the lane:
+every numeric run, ndarray or list, goes through the pooled lane.
 """
 
 import numpy as np
@@ -29,8 +30,8 @@ from repro.cdr import (
     decode,
     decode_bulk_payload,
     encode_bulk_payload,
-    fast_path,
 )
+from repro.cdr.buffers import PooledBuffer
 from repro.core.pipeline.courier import fragment_payload, fragment_values
 
 NUMERIC_TCS = [TC_OCTET, TC_BOOLEAN, TC_SHORT, TC_USHORT, TC_LONG,
@@ -116,22 +117,21 @@ def test_lanes_decode_each_other(case):
     assert via_fast.tobytes() == arr.tobytes()
 
 
-@given(tc_and_array())
-def test_courier_lanes_produce_identical_wire_bytes(case):
-    """The dispatch point itself: fragment_payload with the lane on and
-    off yields the same bytes, and fragment_values round-trips both."""
+@given(tc_and_array(), st.booleans())
+def test_courier_pools_numeric_lists_and_arrays(case, as_list):
+    """The dispatch point itself: fragment_payload leases a PooledBuffer
+    for a numeric run in either container, its bytes equal the classic
+    CDR stream, and fragment_values round-trips it."""
     tc, arr = case
+    values = arr.tolist() if as_list else arr
     pool = BufferPool()
-    with fast_path(True):
-        buf = fragment_payload(tc, arr, pool)
-        fast_out = fragment_values(tc, buf, pool)
-        fast_bytes = bytes(buf.view())
-    with fast_path(False):
-        wire = fragment_payload(tc, arr, pool)
-        slow_out = fragment_values(tc, wire, pool)
-    assert fast_bytes == wire
-    assert np.asarray(fast_out).tobytes() == np.asarray(slow_out).tobytes()
+    buf = fragment_payload(tc, values, pool)
+    assert type(buf) is PooledBuffer
+    assert bytes(buf.view()) == slow_wire(tc, values)
+    out = fragment_values(tc, buf, pool)
+    assert out.tobytes() == np.asarray(values, dtype=tc.dtype).tobytes()
     buf.release()
+    assert pool.stats.fast_encodes == 1 and pool.stats.fallback_encodes == 0
     assert pool.stats.outstanding == 0
 
 

@@ -420,36 +420,71 @@ def test_deadline_expires_mid_fragment_transfer(mod):
     assert out["elapsed"] < 1.0
 
 
-@pytest.mark.parametrize("lane", [True, False],
-                         ids=["fast-path-on", "fast-path-off"])
-def test_dead_letter_drain_balances_pool_leases(mod, lane):
-    """The dead-letter sweep must release pooled fast-path payloads of
-    orphaned fragments; with the lane off the same drain handles plain
-    bytes payloads untouched."""
-    from repro.cdr import fast_path
+def test_dead_letter_drain_balances_pool_leases(mod):
+    """The dead-letter sweep must release the pooled payloads of orphaned
+    fragments."""
+    sim = build(mod)
+    faults = sim.register_interceptor(FaultInjectionInterceptor())
+    faults.inject("receive_request", op="total", times=1)
+    out = {}
 
-    with fast_path(lane):
-        sim = build(mod)
-        faults = sim.register_interceptor(FaultInjectionInterceptor())
-        faults.inject("receive_request", op="total", times=1)
-        out = {}
+    def client(ctx):
+        srv = mod.pipesvc._bind("pipes")
+        with pytest.raises(SystemException, match="injected fault"):
+            srv.total(mod.vec(np.arange(64.0)))
+        out["second"] = srv.total(mod.vec(np.arange(64.0)))
 
-        def client(ctx):
-            srv = mod.pipesvc._bind("pipes")
-            with pytest.raises(SystemException, match="injected fault"):
-                srv.total(mod.vec(np.arange(64.0)))
-            out["second"] = srv.total(mod.vec(np.arange(64.0)))
-
-        sim.client(client, host="HOST_1")
-        sim.run()
+    sim.client(client, host="HOST_1")
+    sim.run()
     stats = sim.world.transport.buffer_pool.stats
     assert out["second"] == float(sum(range(64)))
     assert sim.orb.dead_fragments == 1
     assert stats.outstanding == 0  # drained fragment's lease came back
-    if lane:
-        assert stats.fast_encodes >= 2
-    else:
-        assert stats.fast_encodes == 0
+    assert stats.fast_encodes >= 2
+
+
+def test_plain_list_argument_takes_the_pooled_lane(mod):
+    """A single-thread invocation may pass a plain list for a numeric
+    dsequence; its fragments still lease from the world's pool."""
+    sim = build(mod)
+    out = {}
+
+    def client(ctx):
+        srv = mod.pipesvc._bind("pipes")
+        out["total"] = srv.total([float(i) for i in range(64)])
+
+    sim.client(client, host="HOST_1")
+    sim.run()
+    stats = sim.world.transport.buffer_pool.stats
+    assert out["total"] == float(sum(range(64)))
+    assert stats.fast_encodes >= 1
+    assert stats.fallback_encodes == 0
+    assert stats.outstanding == 0
+
+
+def test_redistribution_leases_from_its_own_world():
+    """DistributedSequence.redistribute borrows from the pool of the world
+    that runs it, never from another world's."""
+    from repro.core import DistributedSequence
+
+    busy, idle = Simulation(), Simulation()
+    n = 64
+
+    def main(ctx):
+        rts = ctx.rts
+        d = DistributedSequence.from_global(
+            np.arange(n, dtype=float), Distribution.block(n, rts.nprocs),
+            rts.rank)
+        d2 = d.redistribute(Distribution.cyclic(n, rts.nprocs), rts)
+        return list(d2.owned_data)
+
+    prog = busy.client(main, host="HOST_1", nprocs=2)
+    busy.run()
+    assert prog.results == [[float(i) for i in range(r, n, 2)]
+                            for r in range(2)]
+    stats = busy.world.transport.buffer_pool.stats
+    assert stats.borrows > 0 and stats.borrows == stats.returns
+    assert idle.world.transport.buffer_pool.stats.borrows == 0
 
 
 def test_fault_rule_validation():
