@@ -44,27 +44,57 @@ def test_kernel_context_switch_throughput(benchmark):
         k.spawn(a)
         k.spawn(b)
         k.run()
-        return k.context_switches
+        return k.context_switches, k.handoffs
 
-    switches = benchmark.pedantic(run, rounds=3, iterations=1)
+    switches, handoffs = benchmark.pedantic(run, rounds=3, iterations=1)
     benchmark.extra_info["context_switches"] = switches
+    benchmark.extra_info["handoffs"] = handoffs
 
 
 @pytest.mark.benchmark(group="infra-kernel")
-@pytest.mark.parametrize("nthreads", [8, 64])
-def test_kernel_many_threads(benchmark, nthreads):
+def test_kernel_solo_advance(benchmark):
+    """One thread advancing alone: its own event is always next, so each
+    ``advance()`` is a scheduler step with no OS thread switch."""
+    ADVANCES = 2000
+
     def run():
         k = SimKernel()
 
         def body():
-            for _ in range(20):
+            for _ in range(ADVANCES):
+                k.advance(0.001)
+
+        k.spawn(body)
+        k.run()
+        return k.context_switches, k.handoffs
+
+    switches, handoffs = benchmark.pedantic(run, rounds=3, iterations=1)
+    benchmark.extra_info["context_switches"] = switches
+    benchmark.extra_info["handoffs"] = handoffs
+
+
+@pytest.mark.benchmark(group="infra-kernel")
+@pytest.mark.parametrize("nthreads", [8, 64, 512, 2000])
+def test_kernel_many_threads(benchmark, nthreads):
+    """Per-switch cost as the thread count grows (scheduler bookkeeping
+    must stay O(1) per event)."""
+    steps = 5 if nthreads >= 2000 else 20
+
+    def run():
+        k = SimKernel()
+
+        def body():
+            for _ in range(steps):
                 k.advance(0.001)
 
         for _ in range(nthreads):
             k.spawn(body)
         k.run()
+        return k.context_switches, k.handoffs
 
-    benchmark.pedantic(run, rounds=3, iterations=1)
+    switches, handoffs = benchmark.pedantic(run, rounds=3, iterations=1)
+    benchmark.extra_info["context_switches"] = switches
+    benchmark.extra_info["handoffs"] = handoffs
 
 
 @pytest.mark.benchmark(group="infra-collectives")

@@ -2,7 +2,7 @@
 
 This package is the execution substrate for the whole PARDIS
 reproduction: simulated "computing threads" (real OS threads scheduled one
-at a time), timestamped message channels, and virtual-time synchronization
+at a time, each handing off directly to the next), timestamped message channels, and virtual-time synchronization
 primitives.  See DESIGN.md §6 for the rationale.
 """
 

@@ -29,31 +29,43 @@ class Event:
 
 
 class EventQueue:
-    """Min-heap of :class:`Event` ordered by ``(time, seq)``."""
+    """Min-heap of :class:`Event` ordered by ``(time, seq)``.
+
+    Heap entries are ``(time, seq, event)`` tuples, compared in C; ``seq``
+    is unique, so the event itself is never compared.  Cancelled events
+    stay in the heap until they reach the head, where :meth:`peek` and
+    :meth:`pop` discard them, so every operation is O(log n) amortised.
+    """
 
     def __init__(self) -> None:
-        self._heap: list[Event] = []
+        self._heap: list[tuple[float, int, Event]] = []
         self._seq = itertools.count()
 
     def __len__(self) -> int:
-        return sum(1 for e in self._heap if not e.cancelled)
+        return sum(1 for _, _, e in self._heap if not e.cancelled)
 
     def __bool__(self) -> bool:
-        return any(not e.cancelled for e in self._heap)
+        return self.peek() is not None
 
     def push(self, time: float, thread) -> Event:
         ev = Event(time, next(self._seq), thread)
-        heapq.heappush(self._heap, ev)
+        heapq.heappush(self._heap, (time, ev.seq, ev))
         return ev
+
+    def peek(self) -> Event | None:
+        """The earliest non-cancelled event, left in the queue."""
+        heap = self._heap
+        while heap and heap[0][2].cancelled:
+            heapq.heappop(heap)
+        return heap[0][2] if heap else None
 
     def pop(self) -> Event:
         """Remove and return the earliest non-cancelled event."""
         while True:
-            ev = heapq.heappop(self._heap)
+            ev = heapq.heappop(self._heap)[2]
             if not ev.cancelled:
                 return ev
 
     def peek_time(self) -> float | None:
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-        return self._heap[0].time if self._heap else None
+        ev = self.peek()
+        return ev.time if ev is not None else None

@@ -374,6 +374,17 @@ def attach_metrics(world) -> MetricsRegistry:
         packets.labels().set(snap["packets_sent"])
         tbytes.labels().set(snap["bytes_sent"])
 
+    kernel = world.kernel
+    kernel_events = reg.counter(
+        "pardis_kernel_events_total",
+        "simulation-kernel resumes, and the OS thread handoffs among them",
+        ("kind",))
+
+    @reg.register_collector
+    def _collect_kernel() -> None:
+        kernel_events.labels(kind="resumed").set(kernel.context_switches)
+        kernel_events.labels(kind="handoff").set(kernel.handoffs)
+
     zc_stats = transport.buffer_pool.stats
     zc = reg.gauge("pardis_zero_copy", "zero-copy lane / buffer-pool "
                    "counters (see repro.cdr.buffers)", ("counter",))

@@ -196,3 +196,26 @@ def test_attach_metrics_collects_all_layers():
     # The observer's push-model histograms populated per-phase series.
     assert any(k.startswith("pardis_request_seconds_count") for k in flat)
     assert any(k.startswith("pardis_phase_seconds_count") for k in flat)
+
+
+def test_attach_metrics_exports_kernel_events():
+    from repro.runtime import World
+    from repro.tools import attach_metrics
+
+    world = World()
+    reg = attach_metrics(world)
+    k = world.kernel
+
+    def body():
+        for _ in range(3):
+            k.advance(1.0)
+
+    k.spawn(body)
+    k.spawn(body)
+    world.run()
+    flat = parse_prometheus_text(reg.prometheus_text())
+    assert flat['pardis_kernel_events_total{kind="resumed"}'] == \
+        k.context_switches == 8
+    assert flat['pardis_kernel_events_total{kind="handoff"}'] == \
+        k.handoffs > 0
+
