@@ -179,6 +179,56 @@ def test_end_to_end_invocation_wallclock(benchmark):
     assert benchmark.pedantic(run, rounds=3, iterations=1)
 
 
+@pytest.mark.benchmark(group="infra-invocation")
+def test_end_to_end_invocation_observed_wallclock(benchmark):
+    """The 50-echo run of :func:`test_end_to_end_invocation_wallclock`
+    with the whole observability stack attached (observer, tracing,
+    metrics): the cost of the span feed, packet trace and histograms."""
+    from repro.core import OrbConfig, Simulation
+    from repro.tools import (
+        attach_metrics,
+        attach_tracing,
+        detach_observer,
+        detach_tracing,
+    )
+
+    mod = compile_idl("interface p { long echo(in long x); };",
+                      module_name="bench_invoke_stubs")
+
+    def run():
+        sim = Simulation(config=OrbConfig(max_outstanding=4))
+        obs = sim.attach_observer()
+        attach_tracing(sim.world)
+        attach_metrics(sim.world)
+
+        def server_main(ctx):
+            class Impl(mod.p_skel):
+                def echo(self, x):
+                    return x
+
+            ctx.poa.activate(Impl(), "p", kind="spmd")
+            ctx.poa.impl_is_ready()
+
+        sim.server(server_main, host="HOST_2", nprocs=1)
+
+        def client(ctx):
+            prx = mod.p._bind("p")
+            for i in range(50):
+                prx.echo(i)
+
+        sim.client(client, host="HOST_1")
+        try:
+            sim.run()
+        finally:
+            detach_tracing(sim.world)
+            detach_observer(sim.world)
+        return len(obs.spans)
+
+    nspans = benchmark.pedantic(run, rounds=3, iterations=1)
+    benchmark.extra_info["spans"] = nspans
+    assert nspans > 0
+
+
 # ---------------------------------------------------------------------------
 # Tracing overhead gate (plain test, no benchmark fixture: CI runs it with
 # ``-k tracing_overhead`` on every push, not only under --benchmark-only)

@@ -73,6 +73,38 @@ def test_roundtrip_heterogeneous_records(benchmark):
     assert len(out) == 200
 
 
+SCALAR_HEADERS = {
+    "long": (TC_LONG, 123456),
+    "double": (TC_DOUBLE, 2.718281828),
+    "string": (StringTC(), "scalar-header"),
+}
+
+
+@pytest.mark.benchmark(group="marshal-scalar-header")
+@pytest.mark.parametrize("kind", sorted(SCALAR_HEADERS))
+def test_encode_scalar_header(benchmark, kind):
+    """One scalar in-argument through the request header's CDR stream
+    (the per-invocation encode every echo pays)."""
+    from repro.core.marshal import encode_scalars
+
+    tc, value = SCALAR_HEADERS[kind]
+    specs = (("x", tc),)
+    out = benchmark(encode_scalars, specs, {"x": value})
+    benchmark.extra_info["wire_bytes"] = len(out)
+
+
+@pytest.mark.benchmark(group="marshal-scalar-header")
+@pytest.mark.parametrize("kind", sorted(SCALAR_HEADERS))
+def test_decode_scalar_header(benchmark, kind):
+    from repro.core.marshal import decode_scalars, encode_scalars
+
+    tc, value = SCALAR_HEADERS[kind]
+    specs = (("x", tc),)
+    wire = encode_scalars(specs, {"x": value})
+    out = benchmark(decode_scalars, specs, wire)
+    assert out == {"x": value}
+
+
 @pytest.mark.benchmark(group="marshal-fastpath")
 def test_bulk_fast_path_speedup(benchmark):
     """The numpy fast path must beat element-wise encoding by a wide

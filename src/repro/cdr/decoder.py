@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import struct
 from typing import Any
 
 import numpy as np
@@ -16,7 +15,7 @@ from .typecodes import (
     TC_BOOLEAN as PRIM_BOOL,
     DSequenceTC,
     EnumTC,
-    INT_RANGES,
+    SCALAR_CODECS,
     PrimitiveTC,
     SequenceTC,
     StringTC,
@@ -59,17 +58,16 @@ class CdrDecoder:
     def get_primitive(self, tc: PrimitiveTC) -> Any:
         self.align(tc.size)
         raw = self._take(tc.size)
-        if tc.name == "char":
+        name = tc.name
+        if name == "char":
             return chr(raw[0])
-        if tc.name == "boolean":
+        if name == "boolean":
             return bool(raw[0])
-        if tc.name in INT_RANGES:
-            return int(np.frombuffer(raw, dtype=tc.dtype)[0])
-        return float(struct.unpack("<f" if tc.size == 4 else "<d", raw)[0])
+        return SCALAR_CODECS[tc.fmt].unpack(raw)[0]
 
     def get_ulong(self) -> int:
         self.align(4)
-        return int(struct.unpack("<I", self._take(4))[0])
+        return _encoder._ULONG.unpack(self._take(4))[0]
 
     def get_string(self) -> str:
         n = self.get_ulong()
@@ -201,7 +199,7 @@ def decode_bulk_payload(element: PrimitiveTC, payload) -> np.ndarray:
         data = payload
     if avail < 4:
         raise MarshalError(f"bulk payload of {avail} bytes has no length word")
-    (n,) = struct.unpack_from("<I", data, 0)
+    (n,) = _encoder._ULONG.unpack_from(data, 0)
     size = element.size
     header = 4 + ((-4) % size)
     end = header + n * size

@@ -12,7 +12,6 @@ length word, one contiguous buffer copy.
 
 from __future__ import annotations
 
-import struct
 from typing import Any
 
 import numpy as np
@@ -23,6 +22,7 @@ from .typecodes import (
     DSequenceTC,
     EnumTC,
     INT_RANGES,
+    SCALAR_CODECS,
     PrimitiveTC,
     SequenceTC,
     StringTC,
@@ -34,6 +34,9 @@ from .typecodes import (
 
 
 from .typecodes import TC_BOOLEAN as PRIM_BOOL
+
+
+_ULONG = SCALAR_CODECS["<u4"]
 
 
 class MarshalError(ValueError):
@@ -78,31 +81,34 @@ class CdrEncoder:
 
     def put_primitive(self, tc: PrimitiveTC, value: Any) -> None:
         self.align(tc.size)
-        if tc.name == "char":
+        name = tc.name
+        if name == "char":
             if isinstance(value, str):
                 if len(value) != 1:
                     raise MarshalError(f"char needs a 1-char string, got {value!r}")
                 value = ord(value)
             self._buf.append(int(value) & 0xFF)
             return
-        if tc.name == "boolean":
+        if name == "boolean":
             self._buf.append(1 if value else 0)
             return
-        if tc.name in INT_RANGES:
+        bounds = INT_RANGES.get(name)
+        try:
+            if bounds is None:  # float / double
+                self._buf += SCALAR_CODECS[tc.fmt].pack(float(value))
+                return
             iv = int(value)
-            lo, hi = INT_RANGES[tc.name]
-            if not (lo <= iv <= hi):
-                raise MarshalError(f"{iv} out of range for {tc.name}")
-            self._buf.extend(np.array([iv], dtype=tc.dtype).tobytes())
-            return
-        # float / double
-        self._buf.extend(struct.pack("<f" if tc.size == 4 else "<d", float(value)))
+        except OverflowError:
+            raise MarshalError(f"{value!r} out of range for {name}") from None
+        if not (bounds[0] <= iv <= bounds[1]):
+            raise MarshalError(f"{iv} out of range for {name}")
+        self._buf += SCALAR_CODECS[tc.fmt].pack(iv)
 
     def put_ulong(self, value: int) -> None:
         self.align(4)
         if not (0 <= value <= 0xFFFFFFFF):
             raise MarshalError(f"ulong out of range: {value}")
-        self._buf.extend(struct.pack("<I", value))
+        self._buf += _ULONG.pack(value)
 
     def put_string(self, value: str, bound: int | None = None) -> None:
         data = value.encode("utf-8")
@@ -281,7 +287,6 @@ def bulk_header_size(element: PrimitiveTC) -> int:
     return 4 + ((-4) % element.size)
 
 
-_ULONG = struct.Struct("<I")
 _PAD4 = b"\0\0\0\0"
 
 

@@ -8,7 +8,9 @@ build them directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import struct
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Optional
 
 import numpy as np
@@ -26,20 +28,36 @@ class TypeCode:
         return f"tc<{self.kind}>"
 
 
+#: numpy dtype string -> precompiled ``struct.Struct`` that packs one
+#: scalar into the same little-endian bytes numpy writes
+SCALAR_CODECS = {
+    fmt: struct.Struct(code) for fmt, code in (
+        ("<u1", "<B"), ("<i2", "<h"), ("<u2", "<H"), ("<i4", "<i"),
+        ("<u4", "<I"), ("<i8", "<q"), ("<u8", "<Q"), ("<f4", "<f"),
+        ("<f8", "<d"),
+    )
+}
+
+
 @dataclass(frozen=True, repr=False)
 class PrimitiveTC(TypeCode):
-    """A fixed-size primitive (octet/boolean/char/integers/floats)."""
+    """A fixed-size primitive (octet/boolean/char/integers/floats).
+
+    ``dtype`` (for the bulk numpy paths) is built once, on first use, and
+    kept outside the dataclass fields; one scalar goes through
+    ``SCALAR_CODECS[fmt]``.
+    """
 
     name: str
     size: int          # bytes on the wire (also the CDR alignment)
-    fmt: str           # struct/numpy dtype char, e.g. "<i4"
+    fmt: str           # numpy dtype string, e.g. "<i4"
     py_default: Any = 0
 
     @property
     def kind(self) -> str:  # type: ignore[override]
         return self.name
 
-    @property
+    @cached_property
     def dtype(self) -> np.dtype:
         return np.dtype(self.fmt)
 

@@ -17,13 +17,14 @@ from ..cdr import (
     CdrDecoder,
     CdrEncoder,
     DSequenceTC,
+    ObjectRefTC,
     TypeCode,
 )
 from ..cdr import encoder as _cdr_encoder
 from .distribution import Distribution
 from .dsequence import DistributedSequence
 from .errors import BadOperation
-from .interfacedef import OpDef, ParamDef
+from .interfacedef import ParamDef
 from .request import build as build_dist
 from .request import describe as describe_dist
 
@@ -54,25 +55,12 @@ def decode_scalars(specs: list[tuple[str, TypeCode]], data: bytes) -> dict:
 def materialize_objrefs(specs: list[tuple[str, TypeCode]], values: dict,
                         ctx) -> dict:
     """Replace decoded ObjectRefs with live proxies (in place)."""
-    from ..cdr.typecodes import ObjectRefTC
-    from .stubapi import proxy_for
-
     for name, tc in specs:
         if isinstance(tc, ObjectRefTC):
+            from .stubapi import proxy_for
+
             values[name] = proxy_for(values[name], ctx)
     return values
-
-
-def scalar_in_specs(op: OpDef) -> list[tuple[str, TypeCode]]:
-    return [(p.name, p.tc) for p in op.scalar_in_params]
-
-
-def scalar_result_specs(op: OpDef) -> list[tuple[str, TypeCode]]:
-    specs = []
-    if op.ret_tc is not None and not isinstance(op.ret_tc, DSequenceTC):
-        specs.append(("__return", op.ret_tc))
-    specs.extend((p.name, p.tc) for p in op.scalar_out_params)
-    return specs
 
 
 # ---------------------------------------------------------------------------

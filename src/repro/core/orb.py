@@ -14,12 +14,13 @@ repositories and the per-host activation agents.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from ..cdr import TC_DOUBLE, TypeCode
 from ..runtime.program import PORT_ORB, ParallelProgram, World
 from ..simkernel import SimKernel
+from ..simkernel.kernel import _current as _sim_thread
 from .distribution import Distribution
 from .dsequence import DistributedSequence
 from .errors import ActivationError, ObjectNotFound
@@ -285,7 +286,10 @@ class PardisContext:
     # -- identity / time -----------------------------------------------------------
 
     def now(self) -> float:
-        return self.rts.now()
+        # The calling SimThread's clock, read directly: the value
+        # ``rts.now()`` returns, without its three intermediate frames.
+        t = getattr(_sim_thread, "thread", None)
+        return t.now if t is not None else 0.0
 
     def compute(self, seconds: float) -> None:
         self.rts.compute(seconds)

@@ -51,8 +51,6 @@ from ..marshal import (
     encode_scalars,
     materialize_objrefs,
     resolve_out_dist,
-    scalar_in_specs,
-    scalar_result_specs,
     wrap_out,
 )
 from ..repository import ObjectRef
@@ -148,11 +146,8 @@ class ClientRequestState:
                                   t_marshal0)
 
         # Partition arguments.
-        named_in = dict(zip((p.name for p in op.in_params), self.in_values))
-        scalar_args = encode_scalars(
-            scalar_in_specs(op),
-            {p.name: named_in[p.name] for p in op.scalar_in_params},
-        )
+        named_in = dict(zip(op.in_names, self.in_values))
+        scalar_args = encode_scalars(op.scalar_in_specs, named_in)
         dseq_args: dict[str, DistributedSequence] = {}
         dseq_meta: dict[str, tuple] = {}
         for param in op.dseq_in_params:
@@ -457,7 +452,7 @@ class ClientRequestState:
         chain = self.chain
         spans = chain.wants_spans
         t0 = self.ctx.now() if spans else 0.0
-        specs = scalar_result_specs(self.op)
+        specs = self.op.scalar_result_specs
         scalars = decode_scalars(specs, self.reply.scalar_results)
         materialize_objrefs(specs, scalars, self.ctx)
         values = []
@@ -696,7 +691,7 @@ class ServerRequestState:
         ctx = self.ctx
         hdr = self.hdr
         op = self.op
-        specs = scalar_in_specs(op)
+        specs = op.scalar_in_specs
         scalars = decode_scalars(specs, hdr.scalar_args)
         materialize_objrefs(specs, scalars, ctx)
         values: dict[str, Any] = dict(scalars)
@@ -716,7 +711,7 @@ class ServerRequestState:
                 tag=TAG_ARG_FRAGMENT, reason=f"arg {param.name}",
             )
             values[param.name] = wrap_out(param, storage)
-        return [values[p.name] for p in op.in_params]
+        return [values[name] for name in op.in_names]
 
     # -- results -----------------------------------------------------------
 
@@ -725,9 +720,7 @@ class ServerRequestState:
         hdr = self.hdr
         op = self.op
         chain = self.chain
-        expected = ([] if op.ret_tc is None else ["__return"]) + [
-            p.name for p in op.out_params
-        ]
+        expected = op.result_names
         if not expected:
             out_values: dict[str, Any] = {}
         else:
@@ -767,11 +760,7 @@ class ServerRequestState:
                 except Exception as exc:
                     self._reject(exc, respect_oneway=True)
                     return
-            scalar_bytes = encode_scalars(
-                scalar_result_specs(op),
-                {k: v for k, v in out_values.items()
-                 if k == "__return" or not _is_dseq_param(op, k)},
-            )
+            scalar_bytes = encode_scalars(op.scalar_result_specs, out_values)
             contexts = dict(self.info.reply_service_contexts)
             if self.poa.admission is not None:
                 # Piggyback the load report / backpressure hint
@@ -853,7 +842,3 @@ class ServerRequestState:
 
     def __repr__(self) -> str:
         return f"<ServerRequestState {self.hdr.op} req={self.hdr.req_id}>"
-
-
-def _is_dseq_param(op: OpDef, name: str) -> bool:
-    return any(p.name == name for p in op.dseq_out_params)

@@ -54,8 +54,7 @@ text report of per-operation latency percentiles and byte counts via
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Any, Iterable, Optional
+from typing import Any, Iterable, NamedTuple, Optional
 
 from ..core.pipeline.interceptors import (
     RequestInterceptor as RequestInterceptorBase,
@@ -85,8 +84,7 @@ PHASE_SIDE = {p: "client" for p in CLIENT_PHASES}
 PHASE_SIDE.update({p: "server" for p in SERVER_PHASES})
 
 
-@dataclass(frozen=True)
-class Span:
+class Span(NamedTuple):
     """One recorded phase of one request on one computing thread.
 
     Times are virtual seconds; ``req`` is the stringified request id
@@ -94,7 +92,8 @@ class Span:
     and appear with the single ``local`` phase).  The trace fields are
     empty unless a :class:`~repro.tools.tracing.TracingInterceptor`
     shares the world; SPMD threads of one collective invocation share
-    one logical ``span_id`` per side.
+    one logical ``span_id`` per side.  An immutable named tuple: one is
+    built per phase of every request, so construction must be cheap.
     """
 
     phase: str
@@ -167,28 +166,36 @@ class RequestObserver:
         self._held: dict[tuple, list] = {}
         self.spans_unsampled = 0   # discarded by the sampling verdict
         self.spans_promoted = 0    # kept anyway because the request failed
-        #: registry hooks set by bind_metrics
+        #: registry hooks set by bind_metrics, and their children cached
+        #: per (phase, op) and per (op, status)
         self._phase_hist = None
         self._request_hist = None
+        self._phase_children: dict[tuple, Any] = {}
+        self._request_children: dict[tuple, Any] = {}
 
     # -- recording (hot path; called only when an observer is attached) ----
 
     def span(self, phase: str, op: str, req, program: str, rank: int,
              t0: float, t1: float, nbytes: int = 0) -> None:
         req_s = str(req)
-        trace_id = span_id = parent_id = ""
-        sampled = True
         side = PHASE_SIDE.get(phase, "client")
-        if self.tracer is not None:
-            tctx = self.tracer.lookup(req_s, side)
-            if tctx is not None:
-                trace_id, span_id, parent_id = (
-                    tctx.trace_id, tctx.span_id, tctx.parent_id)
-                sampled = tctx.sampled
-        span = Span(phase, op, req_s, program, rank, t0, t1, nbytes,
-                    trace_id, span_id, parent_id)
+        tracer = self.tracer
+        tctx = (None if tracer is None
+                else tracer.contexts.get((req_s, side)))
+        if tctx is None:
+            sampled = True
+            span = Span(phase, op, req_s, program, rank, t0, t1, nbytes)
+        else:
+            sampled = tctx.sampled
+            span = Span(phase, op, req_s, program, rank, t0, t1, nbytes,
+                        tctx.trace_id, tctx.span_id, tctx.parent_id)
         if self._phase_hist is not None:
-            self._phase_hist.labels(phase=phase, op=op).observe(t1 - t0)
+            key = (phase, op)
+            child = self._phase_children.get(key)
+            if child is None:
+                child = self._phase_children[key] = \
+                    self._phase_hist.labels(phase=phase, op=op)
+            child.observe(t1 - t0)
         if sampled:
             self.spans.append(span)
         elif self.tracer.always_on_error:
@@ -225,8 +232,12 @@ class RequestObserver:
             rec[2] = t1
             rec[3] = status
             if self._request_hist is not None:
-                self._request_hist.labels(op=rec[0], status=status) \
-                    .observe(t1 - rec[1])
+                key = (rec[0], status)
+                child = self._request_children.get(key)
+                if child is None:
+                    child = self._request_children[key] = \
+                        self._request_hist.labels(op=rec[0], status=status)
+                child.observe(t1 - rec[1])
         if self.tracer is not None and self.tracer.always_on_error:
             self._resolve_trace(req, "client", rank,
                                 error=status == "failed")
@@ -244,6 +255,8 @@ class RequestObserver:
             "pardis_request_seconds",
             "end-to-end virtual-time request latency",
             ("op", "status"))
+        self._phase_children.clear()
+        self._request_children.clear()
         cdr = registry.counter("pardis_cdr_bytes_total",
                                "CDR stream bytes", ("direction",))
         transfer = registry.counter("pardis_transfer_total",

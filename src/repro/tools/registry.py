@@ -184,6 +184,12 @@ class _Family:
         self._kwargs = kwargs
 
     def labels(self, **labelvalues):
+        # Fast path: an existing child, labels passed in declaration
+        # order with string values (its key is then the values as given).
+        if tuple(labelvalues) == self.labelnames:
+            child = self._children.get(tuple(labelvalues.values()))
+            if child is not None:
+                return child
         if set(labelvalues) != set(self.labelnames):
             raise ValueError(
                 f"{self.name} takes labels {self.labelnames}, "

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from ..netsim import Packet, Transport
 from ..runtime.tags import (
@@ -94,8 +94,10 @@ class RingBuffer:
                 f"dropped={self.dropped}>")
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
+    """One packet a transport moved (an immutable named tuple: one is
+    built per packet)."""
+
     send_time: float
     arrival: float
     src: str
@@ -117,17 +119,25 @@ class PacketTrace:
 
     records: RingBuffer = field(
         default_factory=lambda: RingBuffer(DEFAULT_CAPACITY))
+    #: Address -> str(Address), formatted once per distinct address
+    _names: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     @property
     def dropped(self) -> int:
         return self.records.dropped
 
     def __call__(self, pkt: Packet) -> None:
+        names = self._names
+        src = names.get(pkt.src)
+        if src is None:
+            src = names[pkt.src] = str(pkt.src)
+        dst = names.get(pkt.dst)
+        if dst is None:
+            dst = names[pkt.dst] = str(pkt.dst)
         self.records.append(TraceRecord(
-            send_time=pkt.send_time, arrival=pkt.arrival,
-            src=str(pkt.src), dst=str(pkt.dst),
-            tag=pkt.tag, kind=tag_class(pkt.tag), nbytes=pkt.nbytes,
-        ))
+            pkt.send_time, pkt.arrival, src, dst, pkt.tag,
+            tag_class(pkt.tag), pkt.nbytes))
 
     def __len__(self) -> int:
         return len(self.records)

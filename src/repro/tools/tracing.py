@@ -50,7 +50,9 @@ from ..core.pipeline.interceptors import (
     RequestInterceptor,
     ServerRequestInfo,
 )
-from ..simkernel import SimKernel
+# The calling SimThread, read straight from the kernel's thread-local slot
+# (``SimKernel.current()`` without its two frames).
+from ..simkernel.kernel import _current as _sim_thread
 
 __all__ = [
     "TRACE_CONTEXT",
@@ -84,11 +86,14 @@ class TraceContext:
     ``sampled`` is the head-based verdict the root made — downstream
     hops inherit it unchanged.
 
+    ``wire`` is the service-context value, built once with the context
+    (the fields are not changed after construction).
+
     (A ``__slots__`` class rather than a dataclass: two of these are
     created per traced request, on the budget-gated hot path.)
     """
 
-    __slots__ = ("trace_id", "span_id", "parent_id", "sampled")
+    __slots__ = ("trace_id", "span_id", "parent_id", "sampled", "wire")
 
     def __init__(self, trace_id: str, span_id: str, parent_id: str = "",
                  sampled: bool = True) -> None:
@@ -96,10 +101,11 @@ class TraceContext:
         self.span_id = span_id
         self.parent_id = parent_id
         self.sampled = sampled
+        self.wire = {"trace_id": trace_id, "span_id": span_id,
+                     "sampled": sampled}
 
     def to_wire(self) -> dict:
-        return {"trace_id": self.trace_id, "span_id": self.span_id,
-                "sampled": self.sampled}
+        return self.wire
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, TraceContext)
@@ -150,8 +156,11 @@ class TracingInterceptor(RequestInterceptor):
         self.sampler = sampler or HeadSampling()
         self.always_on_error = always_on_error
         self.capacity = capacity
-        #: (req str, "client"|"server") -> TraceContext, bounded FIFO
-        self._by_req: dict[tuple, TraceContext] = {}
+        #: (req str, "client"|"server") -> TraceContext, bounded FIFO.
+        #: Only maintained while an observer is cross-linked (it exists
+        #: to annotate spans, and the observer reads it directly); a bare
+        #: tracer skips it to stay inside the overhead budget.
+        self.contexts: dict[tuple, TraceContext] = {}
         #: cross-link to the world's RequestObserver (set by attach)
         self.observer = None
         self.counters = {
@@ -165,17 +174,8 @@ class TracingInterceptor(RequestInterceptor):
 
     # -- context index -----------------------------------------------------
 
-    def lookup(self, req, side: str) -> Optional[TraceContext]:
-        """The context recorded for one request on one side, if any.
-
-        The index is only maintained while an observer is cross-linked
-        (it exists to annotate spans); a bare tracer skips it to stay
-        inside the overhead budget.
-        """
-        return self._by_req.get((str(req), side))
-
     def _remember(self, req: str, side: str, tctx: TraceContext) -> None:
-        by = self._by_req
+        by = self.contexts
         key = (req, side)
         if key not in by and len(by) >= self.capacity:
             del by[next(iter(by))]
@@ -187,7 +187,7 @@ class TracingInterceptor(RequestInterceptor):
     def send_request(self, info: ClientRequestInfo) -> None:
         req = str(info.req_id)
         h = _derive(req)
-        locals_ = SimKernel.current().locals
+        locals_ = _sim_thread.thread.locals
         stack = locals_.get(_STACK_KEY)
         if stack:
             top = stack[-1]
@@ -204,7 +204,7 @@ class TracingInterceptor(RequestInterceptor):
         if self.observer is not None:
             self._remember(req, "client", tctx)
         info._tctx = tctx
-        info.service_contexts[TRACE_CONTEXT] = tctx.to_wire()
+        info.service_contexts[TRACE_CONTEXT] = tctx.wire
         if info.local:
             # Frame the direct call: the servant body runs on this very
             # thread, so its own downstream invocations must parent here.
@@ -213,12 +213,14 @@ class TracingInterceptor(RequestInterceptor):
             stack.append(tctx)
             self.counters["local_scopes"] += 1
 
-    def _close_client(self, info: ClientRequestInfo) -> None:
+    def receive_reply(self, info: ClientRequestInfo) -> None:
+        """Close the client side of a request (reply and exception
+        alike)."""
         tctx = getattr(info, "_tctx", None)
         if tctx is None:
             return  # an earlier interceptor aborted before we ran
         if info.local:
-            stack = SimKernel.current().locals.get(_STACK_KEY)
+            stack = _sim_thread.thread.locals.get(_STACK_KEY)
             if stack and stack[-1] is tctx:
                 stack.pop()
         reply = info.reply
@@ -228,11 +230,7 @@ class TracingInterceptor(RequestInterceptor):
         # request_finished hook (it fires after the last client span);
         # only the server side, which has no such hook, resolves here.
 
-    def receive_reply(self, info: ClientRequestInfo) -> None:
-        self._close_client(info)
-
-    def receive_exception(self, info: ClientRequestInfo) -> None:
-        self._close_client(info)
+    receive_exception = receive_reply
 
     # -- server points -----------------------------------------------------
 
@@ -259,7 +257,7 @@ class TracingInterceptor(RequestInterceptor):
         if self.observer is not None:
             self._remember(str(info.req_id), "server", tctx)
         info._tctx = tctx
-        locals_ = SimKernel.current().locals
+        locals_ = _sim_thread.thread.locals
         stack = locals_.get(_STACK_KEY)
         if stack is None:
             stack = locals_[_STACK_KEY] = []
@@ -268,13 +266,13 @@ class TracingInterceptor(RequestInterceptor):
     def send_reply(self, info: ServerRequestInfo) -> None:
         tctx = getattr(info, "_tctx", None)
         if tctx is not None:
-            info.reply_service_contexts[TRACE_CONTEXT] = tctx.to_wire()
+            info.reply_service_contexts[TRACE_CONTEXT] = tctx.wire
 
     def finish_request(self, info: ServerRequestInfo) -> None:
         tctx = getattr(info, "_tctx", None)
         if tctx is None:
             return  # shed before our receive_request ran
-        stack = SimKernel.current().locals.get(_STACK_KEY)
+        stack = _sim_thread.thread.locals.get(_STACK_KEY)
         if stack and stack[-1] is tctx:
             stack.pop()
         if self.observer is not None and self.always_on_error:

@@ -57,3 +57,9 @@ def test_records_smoke(bench_mod):
 
 def test_fast_path_smoke(bench_mod):
     bench_mod.test_bulk_fast_path_speedup(_OneShotBenchmark())
+
+
+def test_scalar_header_smoke(bench_mod):
+    for kind in sorted(bench_mod.SCALAR_HEADERS):
+        bench_mod.test_encode_scalar_header(_OneShotBenchmark(), kind)
+        bench_mod.test_decode_scalar_header(_OneShotBenchmark(), kind)

@@ -1,9 +1,12 @@
 """Round-trip and layout tests for the CDR marshaling layer."""
 
+import re
+
 import numpy as np
 import pytest
 
 from repro.cdr import (
+    CdrEncoder,
     DSequenceTC,
     EnumTC,
     MarshalError,
@@ -66,6 +69,20 @@ class TestPrimitives:
     def test_integer_range_enforced(self, tc, bad):
         with pytest.raises(MarshalError):
             encode(tc, bad)
+
+    @pytest.mark.parametrize("tc,bad", [
+        (TC_FLOAT, 1e300), (TC_FLOAT, -3.5e38), (TC_DOUBLE, 10**400),
+        (TC_LONG, float("inf")),
+    ], ids=["float-1e300", "float-neg-3.5e38", "double-10e400", "long-inf"])
+    def test_unrepresentable_value_raises_marshal_error(self, tc, bad):
+        # float32 overflow used to escape as a bare OverflowError.
+        with pytest.raises(MarshalError,
+                           match=re.escape(f"{bad!r} out of range for {tc.name}")):
+            CdrEncoder().encode(tc, bad)
+
+    def test_float_infinities_still_encode(self):
+        for v in (float("inf"), float("-inf")):
+            assert decode(TC_FLOAT, encode(TC_FLOAT, v)) == v
 
     def test_primitive_sizes_on_wire(self):
         assert len(encode(TC_OCTET, 1)) == 1

@@ -15,8 +15,6 @@ from repro.core.marshal import (
     encode_out_request,
     encode_scalars,
     resolve_out_dist,
-    scalar_in_specs,
-    scalar_result_specs,
 )
 
 DS = DSequenceTC(TC_DOUBLE)
@@ -32,15 +30,15 @@ OP = OpDef("f", TC_LONG, [
 
 class TestParamPartitions:
     def test_scalar_in_specs_include_inout(self):
-        assert [n for n, _ in scalar_in_specs(OP)] == ["a", "b"]
+        assert [n for n, _ in OP.scalar_in_specs] == ["a", "b"]
 
     def test_scalar_result_specs_lead_with_return(self):
-        assert [n for n, _ in scalar_result_specs(OP)] == \
+        assert [n for n, _ in OP.scalar_result_specs] == \
             ["__return", "b", "s"]
 
     def test_void_no_scalar_outs(self):
         op = OpDef("g", None, [ParamDef("out", "w", DS)])
-        assert scalar_result_specs(op) == []
+        assert op.scalar_result_specs == ()
 
     def test_dseq_partitions(self):
         assert [p.name for p in OP.dseq_in_params] == ["v"]
