@@ -17,8 +17,6 @@ from .encoder import (
     bulk_header_size,
     encode,
     encode_bulk_payload,
-    get_marshal_meter,
-    set_marshal_meter,
 )
 from .typecodes import (
     ArrayTC,
@@ -81,8 +79,6 @@ __all__ = [
     "decode_bulk_payload",
     "encode",
     "encode_bulk_payload",
-    "get_marshal_meter",
     "is_numeric_primitive",
-    "set_marshal_meter",
     "wire_size",
 ]

@@ -218,19 +218,13 @@ def decode_bulk_payload(element: PrimitiveTC, payload) -> np.ndarray:
                             offset=header)
         if arr.flags.writeable:
             arr.flags.writeable = False
-    if _encoder._MARSHAL_METER is not None:
-        _encoder._MARSHAL_METER.on_decode(end)
     return arr
 
 
 def decode(tc: TypeCode, data: bytes) -> Any:
     """One-shot decode; requires the buffer to be fully consumed."""
-    from .encoder import _MARSHAL_METER
-
     dec = CdrDecoder(data)
     value = dec.decode(tc)
     if not dec.done():
         raise MarshalError(f"{dec.remaining} trailing bytes after decode")
-    if _MARSHAL_METER is not None:
-        _MARSHAL_METER.on_decode(len(data))
     return value

@@ -43,23 +43,6 @@ class MarshalError(ValueError):
     """Value cannot be encoded under the given TypeCode."""
 
 
-#: Optional global marshal meter (an object with ``on_encode(nbytes)`` /
-#: ``on_decode(nbytes)``), fed by the one-shot encode/decode entry points
-#: and the ORB's scalar/fragment helpers.  ``None`` (the default) keeps
-#: the hot paths at a single identity check.
-_MARSHAL_METER = None
-
-
-def set_marshal_meter(meter) -> None:
-    """Install (or clear, with ``None``) the global marshal byte meter."""
-    global _MARSHAL_METER
-    _MARSHAL_METER = meter
-
-
-def get_marshal_meter():
-    return _MARSHAL_METER
-
-
 class CdrEncoder:
     """Append-only CDR output stream."""
 
@@ -269,10 +252,7 @@ class CdrEncoder:
 
 def encode(tc: TypeCode, value: Any) -> bytes:
     """One-shot encode."""
-    data = CdrEncoder().encode(tc, value).getvalue()
-    if _MARSHAL_METER is not None:
-        _MARSHAL_METER.on_encode(len(data))
-    return data
+    return CdrEncoder().encode(tc, value).getvalue()
 
 
 def bulk_header_size(element: PrimitiveTC) -> int:
@@ -333,6 +313,4 @@ def encode_bulk_payload(element: PrimitiveTC, values, pool):
     stats = pool.stats
     stats.fast_encodes += 1
     stats.bytes_fast += total
-    if _MARSHAL_METER is not None:
-        _MARSHAL_METER.on_encode(total)
     return buf

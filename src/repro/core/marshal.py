@@ -20,7 +20,6 @@ from ..cdr import (
     ObjectRefTC,
     TypeCode,
 )
-from ..cdr import encoder as _cdr_encoder
 from .distribution import Distribution
 from .dsequence import DistributedSequence
 from .errors import BadOperation
@@ -33,20 +32,20 @@ from .request import describe as describe_dist
 # ---------------------------------------------------------------------------
 
 
-def encode_scalars(specs: list[tuple[str, TypeCode]], values: dict) -> bytes:
+def encode_scalars(specs: list[tuple[str, TypeCode]], values: dict,
+                   meter=None) -> bytes:
     enc = CdrEncoder()
     for name, tc in specs:
         enc.encode(tc, values[name])
     data = enc.getvalue()
-    meter = _cdr_encoder._MARSHAL_METER
     if meter is not None:
         meter.on_encode(len(data))
     return data
 
 
-def decode_scalars(specs: list[tuple[str, TypeCode]], data: bytes) -> dict:
+def decode_scalars(specs: list[tuple[str, TypeCode]], data: bytes,
+                   meter=None) -> dict:
     dec = CdrDecoder(data)
-    meter = _cdr_encoder._MARSHAL_METER
     if meter is not None:
         meter.on_decode(len(data))
     return {name: dec.decode(tc) for name, tc in specs}

@@ -35,7 +35,6 @@ whoever consumes (or discards) the fragment must call
 from __future__ import annotations
 
 from ...cdr import CdrDecoder, CdrEncoder, SequenceTC, TypeCode
-from ...cdr import encoder as _cdr_encoder
 from ...cdr.buffers import BufferPool
 from ...cdr.decoder import decode_bulk_payload
 from ...cdr.encoder import encode_bulk_payload
@@ -48,25 +47,28 @@ __all__ = ["FragmentCourier", "fragment_payload", "fragment_values",
            "redistribute_exchange", "release_fragment"]
 
 
-def fragment_payload(element: TypeCode, values, pool: BufferPool):
+def fragment_payload(element: TypeCode, values, pool: BufferPool,
+                     meter=None):
     """Encode one fragment's element run (``sequence<element>``).
 
     Returns a ``PooledBuffer`` lease from ``pool`` for numeric elements
-    (the caller owns it), else ``bytes``.
+    (the caller owns it), else ``bytes``.  ``meter`` is the world's
+    marshal meter (``Transport.meter``), or ``None``.
     """
     # Inlined is_numeric_primitive(): this dispatch runs once per
     # fragment, squarely on the hot path.
     if isinstance(element, PrimitiveTC) and element.name != "char":
-        return encode_bulk_payload(element, values, pool)
-    data = CdrEncoder().encode(SequenceTC(element), values).getvalue()
-    meter = _cdr_encoder._MARSHAL_METER
+        data = encode_bulk_payload(element, values, pool)
+    else:
+        data = CdrEncoder().encode(SequenceTC(element), values).getvalue()
+        pool.stats.fallback_encodes += 1
     if meter is not None:
         meter.on_encode(len(data))
-    pool.stats.fallback_encodes += 1
     return data
 
 
-def fragment_values(element: TypeCode, payload, pool: BufferPool):
+def fragment_values(element: TypeCode, payload, pool: BufferPool,
+                    meter=None):
     """Decode one fragment's element run.
 
     Numeric payloads come back as a read-only ndarray aliasing the
@@ -75,13 +77,22 @@ def fragment_values(element: TypeCode, payload, pool: BufferPool):
     stats = pool.stats
     if isinstance(element, PrimitiveTC) and element.name != "char":
         stats.fast_decodes += 1
-        return decode_bulk_payload(element, payload)
-    dec = CdrDecoder(payload)
-    meter = _cdr_encoder._MARSHAL_METER
+        values = decode_bulk_payload(element, payload)
+    else:
+        stats.fallback_decodes += 1
+        values = CdrDecoder(payload).decode(SequenceTC(element))
     if meter is not None:
         meter.on_decode(len(payload))
-    stats.fallback_decodes += 1
-    return dec.decode(SequenceTC(element))
+    return values
+
+
+def _metered_schedule(src_dist: Distribution, dst_dist: Distribution, meter):
+    """The memoized transfer schedule, counted on the world's meter on
+    hits and misses alike (the count is of logical schedules)."""
+    sched = _transfer.cached_schedule(src_dist, dst_dist)
+    if meter is not None:
+        meter.on_schedule(len(sched), sum(t.size for t in sched))
+    return sched
 
 
 def release_fragment(frag) -> None:
@@ -112,9 +123,11 @@ class FragmentCourier:
                        oneway: bool = False) -> int:
         """Ship this thread's overlap of ``src_dist -> dst_dist`` directly
         to the destination threads; returns the bytes injected."""
-        sched = _transfer.cached_schedule(src_dist, dst_dist)
+        transport = self.transport
+        meter = transport.meter
+        sched = _metered_schedule(src_dist, dst_dist, meter)
         src_addr = self.ctx.endpoint.address
-        pool = self.transport.buffer_pool
+        pool = transport.buffer_pool
         nbytes = 0
         for item in sched:
             if item.src_rank != rank:
@@ -122,9 +135,9 @@ class FragmentCourier:
             values = _transfer.extract(src_dist, rank, local_data,
                                        item.intervals)
             frag = Fragment(req_id, param, rank, item.intervals,
-                            fragment_payload(element, values, pool))
+                            fragment_payload(element, values, pool, meter))
             frag_nb = frag.nbytes()
-            self.transport.send(src_addr, endpoints[item.dst_rank], frag,
+            transport.send(src_addr, endpoints[item.dst_rank], frag,
                                 tag=tag, nbytes=frag_nb, oneway=oneway)
             nbytes += frag_nb
         return nbytes
@@ -133,9 +146,9 @@ class FragmentCourier:
 
     @staticmethod
     def expected_fragments(src_dist: Distribution, dst_dist: Distribution,
-                           rank: int) -> int:
+                           rank: int, meter=None) -> int:
         """How many fragments of ``src_dist -> dst_dist`` target ``rank``."""
-        sched = _transfer.cached_schedule(src_dist, dst_dist)
+        sched = _metered_schedule(src_dist, dst_dist, meter)
         return sum(1 for t in sched if t.dst_rank == rank)
 
     def receive_fragments(self, *, dist: Distribution, rank: int, local_data,
@@ -158,9 +171,10 @@ class FragmentCourier:
                         element: TypeCode, frag: Fragment) -> None:
         """Insert one received fragment into local storage, then return
         its pooled payload (also on decode/insert failure)."""
-        pool = self.transport.buffer_pool
+        transport = self.transport
         try:
-            values = fragment_values(element, frag.payload, pool)
+            values = fragment_values(element, frag.payload,
+                                     transport.buffer_pool, transport.meter)
             _transfer.insert(dist, rank, local_data, tuple(frag.intervals),
                              values)
         finally:
@@ -181,12 +195,14 @@ def redistribute_exchange(element: TypeCode, src_dist: Distribution,
     ``DistributedSequence.redistribute``)."""
     from ...runtime.collectives import _next_tag
 
-    sched = _transfer.cached_schedule(src_dist, dst_dist)
+    transport = rts.program.world.transport
+    pool = transport.buffer_pool
+    meter = transport.meter
+    sched = _metered_schedule(src_dist, dst_dist, meter)
     tag = _next_tag(rts)
-    pool = rts.program.world.transport.buffer_pool
     for item in _transfer.outgoing(sched, rank):
         values = _transfer.extract(src_dist, rank, src_data, item.intervals)
-        payload = fragment_payload(element, values, pool)
+        payload = fragment_payload(element, values, pool, meter)
         rts.send_reserved(item.dst_rank, (item.intervals, payload), tag,
                           nbytes=len(payload))
     for item in _transfer.local_items(sched, rank):
@@ -196,7 +212,7 @@ def redistribute_exchange(element: TypeCode, src_dist: Distribution,
         msg = rts.recv(tag=tag)
         intervals, payload = msg.payload
         try:
-            values = fragment_values(element, payload, pool)
+            values = fragment_values(element, payload, pool, meter)
             _transfer.insert(dst_dist, rank, dst_data, tuple(intervals),
                              values)
         finally:

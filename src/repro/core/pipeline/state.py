@@ -138,6 +138,7 @@ class ClientRequestState:
         spans = chain.wants_spans
         cfg = ctx.orb.config
         my_idx = binding.client_index
+        transport = ctx.orb.world.transport
         self.req_id = req_id = binding.next_req_id()
 
         t_marshal0 = ctx.now() if spans else 0.0
@@ -147,7 +148,8 @@ class ClientRequestState:
 
         # Partition arguments.
         named_in = dict(zip(op.in_names, self.in_values))
-        scalar_args = encode_scalars(op.scalar_in_specs, named_in)
+        scalar_args = encode_scalars(op.scalar_in_specs, named_in,
+                                     transport.meter)
         dseq_args: dict[str, DistributedSequence] = {}
         dseq_meta: dict[str, tuple] = {}
         for param in op.dseq_in_params:
@@ -204,7 +206,7 @@ class ClientRequestState:
         offload = cfg.communication_threads
         if my_idx == 0:
             hdr_nb = header.nbytes()
-            ctx.orb.world.transport.send(
+            transport.send(
                 ctx.endpoint.address, ref.root_endpoint, header,
                 tag=TAG_REQUEST_HEADER, nbytes=hdr_nb,
                 oneway=op.oneway or offload,
@@ -391,7 +393,8 @@ class ClientRequestState:
                 n, p_client,
             )
             expected = FragmentCourier.expected_fragments(
-                server_dist, client_dist, my_idx)
+                server_dist, client_dist, my_idx,
+                self.ctx.orb.world.transport.meter)
             storage = DistributedSequence(param.tc.element, client_dist,
                                           my_idx)
             self._out_state[param.name] = [client_dist, storage, expected]
@@ -430,7 +433,11 @@ class ClientRequestState:
                 )
             from ...cdr import decode as cdr_decode
 
-            return cls(**cdr_decode(tc, data))
+            values = cdr_decode(tc, data)
+            meter = self.ctx.orb.world.transport.meter
+            if meter is not None:
+                meter.on_decode(len(data))
+            return cls(**values)
         if reply.status == STATUS_PEER_EXC:
             return SystemException(
                 f"{self.op.name} failed on a server thread (partial "
@@ -453,7 +460,8 @@ class ClientRequestState:
         spans = chain.wants_spans
         t0 = self.ctx.now() if spans else 0.0
         specs = self.op.scalar_result_specs
-        scalars = decode_scalars(specs, self.reply.scalar_results)
+        scalars = decode_scalars(specs, self.reply.scalar_results,
+                                 self.ctx.orb.world.transport.meter)
         materialize_objrefs(specs, scalars, self.ctx)
         values = []
         if self.op.ret_tc is not None:
@@ -692,7 +700,8 @@ class ServerRequestState:
         hdr = self.hdr
         op = self.op
         specs = op.scalar_in_specs
-        scalars = decode_scalars(specs, hdr.scalar_args)
+        meter = self.courier.transport.meter
+        scalars = decode_scalars(specs, hdr.scalar_args, meter)
         materialize_objrefs(specs, scalars, ctx)
         values: dict[str, Any] = dict(scalars)
         for param in op.dseq_in_params:
@@ -707,7 +716,7 @@ class ServerRequestState:
                 local_data=storage.owned_data, element=param.tc.element,
                 req_id=hdr.req_id, param=param.name,
                 expected=FragmentCourier.expected_fragments(
-                    client_dist, server_dist, ctx.rank),
+                    client_dist, server_dist, ctx.rank, meter),
                 tag=TAG_ARG_FRAGMENT, reason=f"arg {param.name}",
             )
             values[param.name] = wrap_out(param, storage)
@@ -760,7 +769,8 @@ class ServerRequestState:
                 except Exception as exc:
                     self._reject(exc, respect_oneway=True)
                     return
-            scalar_bytes = encode_scalars(op.scalar_result_specs, out_values)
+            scalar_bytes = encode_scalars(op.scalar_result_specs, out_values,
+                                          self.courier.transport.meter)
             contexts = dict(self.info.reply_service_contexts)
             if self.poa.admission is not None:
                 # Piggyback the load report / backpressure hint
@@ -806,11 +816,12 @@ class ServerRequestState:
             return
         if self.is_root:
             if user:
-                reply = ReplyHeader(
-                    hdr.req_id, STATUS_USER_EXC,
-                    exception=(exc._repo_id,
-                               cdr_encode(exc._typecode, exc._values())),
-                )
+                body = cdr_encode(exc._typecode, exc._values())
+                meter = self.courier.transport.meter
+                if meter is not None:
+                    meter.on_encode(len(body))
+                reply = ReplyHeader(hdr.req_id, STATUS_USER_EXC,
+                                    exception=(exc._repo_id, body))
             else:
                 reply = ReplyHeader(
                     hdr.req_id, STATUS_SYS_EXC,

@@ -147,12 +147,13 @@ class Transport:
         self._endpoints: dict[Address, Endpoint] = {}
         self.packets_sent = 0
         self.bytes_sent = 0
-        #: optional observer called with every delivered Packet
-        #: (see repro.tools.trace.attach_tracer)
-        self.on_send = None
-        #: additional packet observers (see repro.tools.observe); an empty
-        #: list keeps the send path at one truthiness check
+        #: packet observers, each called with every delivered Packet (see
+        #: repro.tools.trace.attach_tracer and repro.tools.observe); an
+        #: empty list keeps the send path at one truthiness check
         self.observers: list = []
+        #: this world's marshal meter (``on_encode``/``on_decode``/
+        #: ``on_schedule``), fed by the ORB's call sites; see attach_observer
+        self.meter = None
         #: per-world pool the fragment courier leases payload buffers
         #: from (see repro.cdr.buffers); world-scoped so concurrent
         #: simulations never share (or skew the stats of) a pool
@@ -203,8 +204,6 @@ class Transport:
         dst_ep.channel.push(pkt, arrival)
         self.packets_sent += 1
         self.bytes_sent += n
-        if self.on_send is not None:
-            self.on_send(pkt)
         if self.observers:
             for cb in self.observers:
                 cb(pkt)

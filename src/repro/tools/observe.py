@@ -20,11 +20,12 @@ reply      server  reply header + result-fragment injection
 ========== ======= ====================================================
 
 The observer also owns a :class:`~repro.tools.trace.PacketTrace` (every
-packet the transport moves), global CDR byte counters fed by the
-encoder/decoder, transfer-schedule counters, and — when a
-:class:`~repro.tools.metrics.ComputeMeter` is attached to the same world
-— per-node compute utilization.  One ``world.services["observer"]``
-object therefore answers "where did this request spend its time".
+packet the transport moves), the world's CDR byte and transfer-schedule
+counters (it is the transport's marshal meter, fed by the ORB's call
+sites), and — when a :class:`~repro.tools.metrics.ComputeMeter` is
+attached to the same world — per-node compute utilization.  One
+``world.services["observer"]`` object therefore answers "where did this
+request spend its time".
 
 Instrumentation is **off by default**: the observer receives the ORB's
 span feed as a *portable interceptor* (the span-sink hooks of
@@ -59,7 +60,6 @@ from typing import Any, Iterable, NamedTuple, Optional
 from ..core.pipeline.interceptors import (
     RequestInterceptor as RequestInterceptorBase,
 )
-from .metrics import ComputeMeter
 from .trace import DEFAULT_CAPACITY, PacketTrace, RingBuffer
 
 __all__ = [
@@ -151,16 +151,17 @@ class RequestObserver:
         self.requests_dropped = 0
         self._request_capacity = span_capacity
         self.packet_trace = PacketTrace(RingBuffer(packet_capacity))
-        self.meter: Optional[ComputeMeter] = None
-        #: global CDR stream bytes (fed by the encoder/decoder hook)
+        #: CDR stream bytes this world's ORB marshaled (on_encode/on_decode)
         self.cdr_bytes = {"encoded": 0, "decoded": 0}
-        #: transfer-schedule counters (fed by repro.core.transfer)
+        #: transfer schedules this world's ORB looked up (on_schedule)
         self.transfer = {"schedules": 0, "fragments": 0, "elements": 0}
         #: the world transport's ZeroCopyStats (set by attach_observer)
         self.zero_copy = None
         #: cross-links set by attach_observer / attach_tracing
         self.tracer = None
         self.orb = None
+        #: the world's services, where report() finds a ComputeMeter
+        self.services: dict = {}
         #: spans of not-yet-terminal unsampled requests, held back for the
         #: always-on-error promotion: (req, side, rank) -> [Span, ...]
         self._held: dict[tuple, list] = {}
@@ -276,15 +277,13 @@ class RequestObserver:
             drops.labels(store="requests").set(self.requests_dropped)
             drops.labels(store="spans_unsampled").set(self.spans_unsampled)
 
-    # -- CDR marshal-meter protocol (repro.cdr.encoder.set_marshal_meter) --
+    # -- marshal-meter protocol (Transport.meter) --------------------------
 
     def on_encode(self, nbytes: int) -> None:
         self.cdr_bytes["encoded"] += nbytes
 
     def on_decode(self, nbytes: int) -> None:
         self.cdr_bytes["decoded"] += nbytes
-
-    # -- transfer-schedule hook (repro.core.transfer.set_observer) ---------
 
     def on_schedule(self, nfragments: int, nelements: int) -> None:
         self.transfer["schedules"] += 1
@@ -568,10 +567,11 @@ class RequestObserver:
         if len(self.packet_trace):
             lines.append("  " + self.packet_trace.summary()
                          .replace("\n", "\n  "))
-        if self.meter is not None and self.meter.busy:
+        meter = self.services.get("compute_meter")
+        if meter is not None and meter.busy:
             elapsed = max((s.t1 for s in self.spans), default=0.0)
             if elapsed > 0:
-                lines.append("  " + self.meter.report(elapsed)
+                lines.append("  " + meter.report(elapsed)
                              .replace("\n", "\n  "))
         return "\n".join(lines)
 
@@ -609,22 +609,20 @@ def attach_observer(world, label: str = "") -> RequestObserver:
 
     Registers it as ``world.services["observer"]``, registers an
     :class:`ObserverInterceptor` on the ORB's interceptor chain (the span
-    feed), subscribes its packet trace to the transport, installs the CDR
-    byte meter and the transfer-schedule hook, and picks up a previously
-    attached :class:`ComputeMeter` if one exists.
+    feed), subscribes its packet trace to the transport, and makes it the
+    transport's marshal meter (CDR bytes and transfer schedules).  A
+    :class:`~repro.tools.metrics.ComputeMeter` attached to the world,
+    before or after, joins :meth:`RequestObserver.report`.
     """
-    from ..cdr.encoder import set_marshal_meter
-    from ..core import transfer as _transfer
-
     obs = RequestObserver(label=label)
     world.services["observer"] = obs
+    obs.services = world.services
     orb = world.services.get("orb")
     if orb is not None:
         obs.orb = orb
-        orb.observer = obs
         obs._interceptor = orb.register_interceptor(ObserverInterceptor(obs))
     world.transport.observers.append(obs.packet_trace)
-    obs.meter = world.services.get("compute_meter")
+    world.transport.meter = obs
     obs.zero_copy = world.transport.buffer_pool.stats
     tracer = world.services.get("tracer")
     if tracer is not None:
@@ -633,22 +631,15 @@ def attach_observer(world, label: str = "") -> RequestObserver:
     registry = world.services.get("metrics")
     if registry is not None:
         obs.bind_metrics(registry)
-    set_marshal_meter(obs)
-    _transfer.set_observer(obs)
     return obs
 
 
 def detach_observer(world) -> Optional[RequestObserver]:
     """Undo :func:`attach_observer`; returns the removed observer."""
-    from ..cdr.encoder import get_marshal_meter, set_marshal_meter
-    from ..core import transfer as _transfer
-
     obs = world.services.pop("observer", None)
     if obs is None:
         return None
     orb = world.services.get("orb")
-    if orb is not None and orb.observer is obs:
-        orb.observer = None
     icept = getattr(obs, "_interceptor", None)
     if orb is not None and icept is not None and icept in orb.interceptors:
         orb.unregister_interceptor(icept)
@@ -656,10 +647,8 @@ def detach_observer(world) -> Optional[RequestObserver]:
         world.transport.observers.remove(obs.packet_trace)
     except ValueError:
         pass
-    if get_marshal_meter() is obs:
-        set_marshal_meter(None)
-    if _transfer.get_observer() is obs:
-        _transfer.set_observer(None)
+    if world.transport.meter is obs:
+        world.transport.meter = None
     return obs
 
 

@@ -364,7 +364,9 @@ def attach_metrics(world) -> MetricsRegistry:
     """Install a :class:`MetricsRegistry` on a world as
     ``world.services["metrics"]`` and wire every standard source into it
     (pull-model collectors for the native counters, push-model latency
-    histograms on a previously attached observer)."""
+    histograms on the observer).  Attach order does not matter: an
+    observer attached later binds itself, and a compute meter or tracer
+    attached later is found at collect time."""
     reg = MetricsRegistry()
     world.services["metrics"] = reg
     transport = world.transport
@@ -470,27 +472,28 @@ def attach_metrics(world) -> MetricsRegistry:
                 for pid, load in group.known_loads().items():
                     replica_load.labels(object=name, program_id=pid).set(load)
 
-    meter = world.services.get("compute_meter")
-    if meter is not None:
+    # Looked up at collect time: either may attach after the registry.
+    @reg.register_collector
+    def _collect_meter() -> None:
+        meter = world.services.get("compute_meter")
+        if meter is None:
+            return
         busy = reg.gauge("pardis_compute_busy_seconds",
                          "virtual compute seconds charged per node",
                          ("host", "node"))
+        for (host, node), seconds in meter.busy.items():
+            busy.labels(host=host, node=node).set(seconds)
 
-        @reg.register_collector
-        def _collect_meter() -> None:
-            for (host, node), seconds in meter.busy.items():
-                busy.labels(host=host, node=node).set(seconds)
-
-    tracer = world.services.get("tracer")
-    if tracer is not None:
+    @reg.register_collector
+    def _collect_tracer() -> None:
+        tracer = world.services.get("tracer")
+        if tracer is None:
+            return
         trace_events = reg.counter("pardis_trace_events_total",
                                    "tracing interceptor event counters",
                                    ("event",))
-
-        @reg.register_collector
-        def _collect_tracer() -> None:
-            for event, value in tracer.counters.items():
-                trace_events.labels(event=event).set(value)
+        for event, value in tracer.counters.items():
+            trace_events.labels(event=event).set(value)
 
     obs = world.services.get("observer")
     if obs is not None:

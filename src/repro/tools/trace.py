@@ -190,5 +190,5 @@ class PacketTrace:
 def attach_tracer(transport: Transport) -> PacketTrace:
     """Install a :class:`PacketTrace` on a transport; returns it."""
     trace = PacketTrace()
-    transport.on_send = trace
+    transport.observers.append(trace)
     return trace

@@ -713,13 +713,14 @@ def test_cached_schedule_memoizes_and_notifies_observer():
         def on_schedule(self, nfrag, nelem):
             self.calls += 1
 
-    counting = Counting()
-    transfer.set_observer(counting)
-    try:
-        transfer.cached_schedule(src, dst)
-        transfer.cached_schedule(src, dst)
-    finally:
-        transfer.set_observer(None)
+    # The courier counts every lookup on its world's meter slot.
+    from repro.core.pipeline.courier import FragmentCourier
+
+    sim = Simulation()
+    counting = sim.world.transport.meter = Counting()
+    for _ in range(2):
+        FragmentCourier.expected_fragments(src, dst, 0,
+                                           sim.world.transport.meter)
     assert counting.calls == 2  # hits still count as logical schedules
 
 

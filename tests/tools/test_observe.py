@@ -1,15 +1,20 @@
 """End-to-end tests for the request-lifecycle observability layer."""
 
+import itertools
+
 import numpy as np
 import pytest
 
-from repro.cdr.encoder import get_marshal_meter
 from repro.core import Simulation
-from repro.core import transfer as _transfer
 from repro.idl import compile_idl
 from repro.tools import (
     RequestObserver,
     TraceSession,
+    attach_meter,
+    attach_metrics,
+    attach_observer,
+    attach_tracer,
+    attach_tracing,
     detach_observer,
     validate_chrome_trace,
 )
@@ -29,19 +34,9 @@ def mod():
     return compile_idl(IDL, module_name="observe_stubs")
 
 
-@pytest.fixture(autouse=True)
-def _clean_globals():
-    """The observer installs process-global hooks; never leak them."""
-    yield
-    from repro.cdr.encoder import set_marshal_meter
-
-    set_marshal_meter(None)
-    _transfer.set_observer(None)
-
-
-def run_observed(mod, nprocs=2, requests=3):
+def build_stats(mod, nprocs=2, requests=3):
+    """A stats server and an SPMD client, not yet run."""
     sim = Simulation()
-    obs = sim.attach_observer(label="t")
 
     def server_main(ctx):
         class Impl(mod.stats_skel):
@@ -67,6 +62,12 @@ def run_observed(mod, nprocs=2, requests=3):
         out["totals"] = [s.total(data) for _ in range(requests)]
 
     sim.client(client_main, host="HOST_1", nprocs=nprocs, name="stats-client")
+    return sim, out
+
+
+def run_observed(mod, nprocs=2, requests=3):
+    sim, out = build_stats(mod, nprocs, requests)
+    obs = sim.attach_observer(label="t")
     sim.run()
     return sim, obs, out
 
@@ -134,25 +135,23 @@ class TestObserverEndToEnd:
         assert "requests:" in text
         assert "cdr streams:" in text
 
-    def test_detach_restores_globals(self, mod):
+    def test_detach_clears_world_slots(self, mod):
         sim, obs, _out = run_observed(mod)
-        assert get_marshal_meter() is obs
-        assert _transfer.get_observer() is obs
+        assert sim.world.transport.meter is obs
         removed = detach_observer(sim.world)
         assert removed is obs
-        assert sim.orb.observer is None
-        assert get_marshal_meter() is None
-        assert _transfer.get_observer() is None
+        assert "observer" not in sim.world.services
+        assert sim.world.transport.meter is None
         assert obs.packet_trace not in sim.world.transport.observers
+        assert obs._interceptor not in sim.orb.interceptors
 
 
 class TestDisabledByDefault:
     def test_no_observer_without_attach(self, mod):
         sim = Simulation()
-        assert sim.orb.observer is None
+        assert "observer" not in sim.world.services
         assert sim.world.transport.observers == []
-        assert get_marshal_meter() is None
-        assert _transfer.get_observer() is None
+        assert sim.world.transport.meter is None
 
     def test_run_unobserved_records_nothing(self, mod):
         sim = Simulation()
@@ -176,6 +175,79 @@ class TestDisabledByDefault:
 
         sim.client(client_main, host="HOST_1", nprocs=1)
         sim.run()  # nothing to assert beyond: no observer, no crash
+
+
+def _world_counts(obs, registry) -> dict:
+    snap = registry.snapshot()
+    return {
+        "cdr_bytes": dict(obs.cdr_bytes),
+        "transfer": dict(obs.transfer),
+        "pardis_cdr_bytes_total": snap["pardis_cdr_bytes_total"]["samples"],
+        "pardis_transfer_total": snap["pardis_transfer_total"]["samples"],
+    }
+
+
+class TestWorldScope:
+    """Every counter belongs to the world it was attached to."""
+
+    def test_counts_stay_in_their_world(self, mod):
+        sim_a, _ = build_stats(mod)
+        obs_a = attach_observer(sim_a.world, label="A")
+        reg_a = attach_metrics(sim_a.world)
+        sim_b, _ = build_stats(mod)
+        obs_b = attach_observer(sim_b.world, label="B")
+        reg_b = attach_metrics(sim_b.world)
+        sim_a.run()  # only A runs
+
+        sim_solo, _ = build_stats(mod)
+        obs_solo = attach_observer(sim_solo.world)
+        reg_solo = attach_metrics(sim_solo.world)
+        sim_solo.run()
+
+        got_a = _world_counts(obs_a, reg_a)
+        assert got_a == _world_counts(obs_solo, reg_solo)
+        assert got_a["cdr_bytes"]["encoded"] > 0
+        assert got_a["transfer"]["schedules"] > 0
+        got_b = _world_counts(obs_b, reg_b)
+        assert set(got_b["cdr_bytes"].values()) == {0}
+        assert set(got_b["transfer"].values()) == {0}
+        for name in ("pardis_cdr_bytes_total", "pardis_transfer_total"):
+            assert {s["value"] for s in got_b[name]} == {0}
+
+        detach_observer(sim_b.world)
+        assert sim_a.world.transport.meter is obs_a
+
+    def test_attach_order_does_not_matter(self, mod):
+        attachers = (
+            lambda world: attach_observer(world, label="t"),
+            attach_tracing,
+            attach_metrics,
+            attach_meter,
+        )
+        outputs = set()
+        for order in itertools.permutations(attachers):
+            sim, _ = build_stats(mod, requests=1)
+            for attach in order:
+                attach(sim.world)
+            sim.run()
+            services = sim.world.services
+            outputs.add((services["metrics"].prometheus_text(),
+                         services["observer"].report()))
+        assert len(outputs) == 1
+        prom, report = outputs.pop()
+        assert "pardis_compute_busy_seconds" in prom
+        assert "pardis_trace_events_total" in prom
+        assert "compute utilization" in report
+
+    def test_every_packet_observer_sees_every_packet(self, mod):
+        sim, _ = build_stats(mod, requests=1)
+        first = attach_tracer(sim.world.transport)
+        second = attach_tracer(sim.world.transport)
+        obs = attach_observer(sim.world)
+        sim.run()
+        sent = sim.world.transport.packets_sent
+        assert sent > 0
+        assert len(first) == len(second) == len(obs.packet_trace) == sent
 
 
 class TestTraceSession:

@@ -17,9 +17,7 @@ Regenerate (only for an intended change of the recorded output) with::
 import json
 from pathlib import Path
 
-from repro.cdr.encoder import set_marshal_meter
 from repro.core import OrbConfig, Simulation, TransientException
-from repro.core import transfer as _transfer
 from repro.idl import compile_idl
 from repro.services import AdmissionController, ThrottleInterceptor
 from repro.tools import (
@@ -98,8 +96,6 @@ def run_scenario() -> dict:
     finally:
         detach_tracing(sim.world)
         detach_observer(sim.world)
-        set_marshal_meter(None)
-        _transfer.set_observer(None)
 
 
 def test_observability_output_matches_golden():
